@@ -22,10 +22,15 @@
 //! `--metrics-addr` is given.
 //!
 //! The daemon is single-threaded and non-blocking throughout (the same
-//! dependency-free socket style as the metrics server): one loop
-//! accepts, reads, advances, notifies, flushes, checkpoints — and parks
-//! with a short exponential backoff when a pass does no work, so an idle
-//! daemon costs ~0% CPU.
+//! dependency-free socket style as the metrics server). One loop waits
+//! in `ppoll(2)` on the listener and every open client, then accepts,
+//! reads, advances, notifies, flushes and checkpoints. The wait ends at
+//! the first socket that is ready or at the earliest deadline: the
+//! paced wall time of the next pending sim event, the monitor refresh,
+//! the checkpoint timer, `--run-for-secs`, or a 50 ms ceiling, so an
+//! idle daemon costs ~0% CPU while a submission is acked as soon as it
+//! is read. Accepted streams set `TCP_NODELAY`, so an ack is not held
+//! back behind an unacknowledged earlier notification.
 
 use crate::args::Args;
 use crate::commands::CmdError;
@@ -41,6 +46,7 @@ use snapshot::SnapReader;
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::os::fd::{AsRawFd, RawFd};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -71,18 +77,66 @@ fn install_signal_handlers() {
     }
 }
 
+/// `struct pollfd` from `<poll.h>`.
+#[repr(C)]
+struct PollFd {
+    fd: RawFd,
+    events: i16,
+    revents: i16,
+}
+
+/// `struct timespec` from `<time.h>`.
+#[repr(C)]
+struct Timespec {
+    tv_sec: std::ffi::c_long,
+    tv_nsec: std::ffi::c_long,
+}
+
+const POLLIN: i16 = 0x001;
+const POLLOUT: i16 = 0x004;
+const POLLERR: i16 = 0x008;
+const POLLHUP: i16 = 0x010;
+
+/// Waits up to `timeout` for readiness on `fds` via libc `ppoll(2)` —
+/// declared directly, like `signal`. A signal ends the wait early
+/// (EINTR). The kernel writes `revents` only when the wait succeeds, so
+/// entries built with `revents: 0` read as "nothing ready" after an
+/// error or interruption.
+fn wait_ready(fds: &mut [PollFd], timeout: Duration) {
+    extern "C" {
+        fn ppoll(
+            fds: *mut PollFd,
+            nfds: std::ffi::c_ulong,
+            timeout: *const Timespec,
+            sigmask: *const std::ffi::c_void,
+        ) -> i32;
+    }
+    let ts = Timespec {
+        tv_sec: timeout.as_secs() as std::ffi::c_long,
+        tv_nsec: timeout.subsec_nanos() as std::ffi::c_long,
+    };
+    // SAFETY: `fds` is a live, exclusively borrowed slice of `#[repr(C)]`
+    // `pollfd`s whose length is passed alongside it; `ts` outlives the
+    // call; a null sigmask leaves the signal mask as it is.
+    unsafe {
+        ppoll(
+            fds.as_mut_ptr(),
+            fds.len() as std::ffi::c_ulong,
+            &ts,
+            std::ptr::null(),
+        );
+    }
+}
+
 /// Upper bound on a client's unflushed notification backlog; a client
 /// that stops reading past this point is disconnected rather than
 /// growing the buffer without bound.
 const MAX_CLIENT_BACKLOG: usize = 1 << 20;
 
-/// Idle-backoff floor: the first park after an active pass.
-const IDLE_SLEEP_MIN: Duration = Duration::from_millis(1);
-
-/// Idle-backoff ceiling. Bounds how stale the loop's timers (pacing,
-/// monitor refresh, checkpoints, shutdown flag) can get while parked, so
-/// an idle daemon burns ~0% CPU yet still reacts within ~50 ms.
-const IDLE_SLEEP_MAX: Duration = Duration::from_millis(50);
+/// Longest readiness wait. Every timer the loop keeps bounds the wait
+/// itself; this ceiling only keeps the shutdown flag fresh for a signal
+/// that lands between the flag check and the wait.
+const MAX_WAIT: Duration = Duration::from_millis(50);
 
 /// How often the live gauges are refreshed from the session.
 const MONITOR_REFRESH: Duration = Duration::from_millis(200);
@@ -161,11 +215,11 @@ pub fn serve(args: &Args) -> Result<String, CmdError> {
         Some(path) => Some(snapshot::read_file(std::path::Path::new(path))?),
         None => None,
     };
-    let (kind, sc) = match &resume_payload {
+    let (kind, num_sites, sc) = match &resume_payload {
         Some(payload) => {
             let meta = snapshot_meta(payload)?;
-            let (kind, _sites) = decode_scheduler_meta(&meta)?;
-            (kind, None)
+            let (kind, sites) = decode_scheduler_meta(&meta)?;
+            (kind, sites, None)
         }
         None => {
             let seed = args.get_or("seed", 2011u64)?;
@@ -186,7 +240,7 @@ pub fn serve(args: &Args) -> Result<String, CmdError> {
             // batch horizon stop it.
             sc.exec.max_time = 1.0e15;
             let kind = seeded_kind(scheduler_from(args)?, seed);
-            (kind, Some(sc))
+            (kind, sc.platform.num_sites as usize, Some(sc))
         }
     };
 
@@ -213,10 +267,11 @@ pub fn serve(args: &Args) -> Result<String, CmdError> {
         std::fs::write(path, format!("ingest {ingest_addr}\n{metrics_line}"))?;
     }
 
+    let live = LiveMetrics::register(&registry, num_sites, 0);
+
     macro_rules! dispatch {
-        ($sched:expr, $sites:expr) => {{
+        ($sched:expr) => {{
             let mut sched = $sched;
-            let live = LiveMetrics::register(&registry, $sites, 0);
             let opts = ServeOpts {
                 listener,
                 pace,
@@ -248,20 +303,15 @@ pub fn serve(args: &Args) -> Result<String, CmdError> {
         }};
     }
 
-    let num_sites = match (&resume_payload, &sc) {
-        (Some(payload), _) => decode_scheduler_meta(&snapshot_meta(payload)?)?.1,
-        (None, Some(sc)) => sc.platform.num_sites as usize,
-        (None, None) => unreachable!("fresh start always builds a scenario"),
-    };
     match kind.clone() {
-        SchedulerKind::Adaptive(cfg) => dispatch!(AdaptiveRl::new(num_sites, cfg), num_sites),
-        SchedulerKind::Online(cfg) => dispatch!(OnlineRl::new(num_sites, cfg), num_sites),
-        SchedulerKind::QPlus(cfg) => dispatch!(QPlusLearning::new(num_sites, cfg), num_sites),
-        SchedulerKind::Prediction(cfg) => {
-            dispatch!(PredictionBased::new(num_sites, cfg), num_sites)
+        SchedulerKind::Adaptive(cfg) => {
+            dispatch!(AdaptiveRl::new(num_sites, cfg).with_metrics(live.clone()))
         }
-        SchedulerKind::RoundRobin => dispatch!(RoundRobin::new(num_sites), num_sites),
-        SchedulerKind::GreedyEdf => dispatch!(GreedyEdf::new(num_sites), num_sites),
+        SchedulerKind::Online(cfg) => dispatch!(OnlineRl::new(num_sites, cfg)),
+        SchedulerKind::QPlus(cfg) => dispatch!(QPlusLearning::new(num_sites, cfg)),
+        SchedulerKind::Prediction(cfg) => dispatch!(PredictionBased::new(num_sites, cfg)),
+        SchedulerKind::RoundRobin => dispatch!(RoundRobin::new(num_sites)),
+        SchedulerKind::GreedyEdf => dispatch!(GreedyEdf::new(num_sites)),
     }
 }
 
@@ -298,60 +348,95 @@ fn run_daemon<S: Scheduler>(
     let mut last_checkpoint = Instant::now();
     let mut last_refresh = Instant::now();
     let mut read_chunk = [0u8; 4096];
-    // Adaptive idle park: any accept, read, or sim-time event resets the
-    // backoff to the floor; consecutive quiet passes double it up to the
-    // ceiling. An active pass loops straight back without sleeping, so a
-    // busy daemon stays hot while an idle one costs ~0% CPU (the old
-    // fixed 5 ms poll spun ~200 wakeups/s forever).
-    let mut idle_sleep = IDLE_SLEEP_MIN;
+    // The poll set of each wait: the listener first, then one entry per
+    // open client, in slot order.
+    let mut fds: Vec<PollFd> = Vec::new();
 
     loop {
-        let mut active = false;
         if SHUTDOWN.load(Ordering::SeqCst) {
             break;
         }
+        let elapsed = start.elapsed().as_secs_f64();
+        if opts.run_for.is_some_and(|d| elapsed >= d.as_secs_f64()) {
+            break;
+        }
+
+        // Park until a socket is ready or the earliest timer is due.
+        let mut wait = MAX_WAIT.as_secs_f64();
+        if opts.pace > 0.0 {
+            if let Some(t) = session.next_event() {
+                wait = wait.min((t.as_f64() - base) / opts.pace - elapsed);
+            }
+        }
         if let Some(d) = opts.run_for {
-            if start.elapsed() >= d {
-                break;
-            }
+            wait = wait.min(d.as_secs_f64() - elapsed);
         }
+        wait = wait.min(MONITOR_REFRESH.as_secs_f64() - last_refresh.elapsed().as_secs_f64());
+        if opts.checkpoint_every > 0.0 && opts.checkpoint_dir.is_some() {
+            wait = wait.min(opts.checkpoint_every - last_checkpoint.elapsed().as_secs_f64());
+        }
+        fds.clear();
+        fds.push(PollFd {
+            fd: opts.listener.as_raw_fd(),
+            events: POLLIN,
+            revents: 0,
+        });
+        for c in clients.iter().filter(|c| c.open) {
+            fds.push(PollFd {
+                fd: c.stream.as_raw_fd(),
+                events: if c.outbuf.is_empty() {
+                    POLLIN
+                } else {
+                    POLLIN | POLLOUT
+                },
+                revents: 0,
+            });
+        }
+        wait_ready(&mut fds, Duration::from_secs_f64(wait.max(0.0)));
 
-        // Accept everything pending.
-        loop {
-            match opts.listener.accept() {
-                Ok((stream, _addr)) => {
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
+        // Accept everything pending once the listener is readable.
+        if fds[0].revents & POLLIN != 0 {
+            loop {
+                match opts.listener.accept() {
+                    Ok((stream, _addr)) => {
+                        if stream.set_nonblocking(true).is_err()
+                            || stream.set_nodelay(true).is_err()
+                        {
+                            continue;
+                        }
+                        opts.ingest.connections.inc(0);
+                        clients.push(Client {
+                            stream,
+                            inbuf: Vec::new(),
+                            outbuf: Vec::new(),
+                            open: true,
+                        });
                     }
-                    opts.ingest.connections.inc(0);
-                    active = true;
-                    clients.push(Client {
-                        stream,
-                        inbuf: Vec::new(),
-                        outbuf: Vec::new(),
-                        open: true,
-                    });
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                    Err(_) => break,
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => break,
             }
         }
 
-        // Read request lines and admit submissions.
-        for (slot, client) in clients.iter_mut().enumerate() {
-            if !client.open {
+        // Read request lines from the clients the wait found readable
+        // (or hung up / in error: the read reports it) and admit
+        // submissions. Clients accepted above are polled next pass.
+        let readable = fds[1..]
+            .iter()
+            .map(|f| f.revents & (POLLIN | POLLERR | POLLHUP) != 0);
+        let polled = clients.iter_mut().enumerate().filter(|(_, c)| c.open);
+        for ((slot, client), ready) in polled.zip(readable) {
+            if !ready {
                 continue;
             }
             loop {
                 match client.stream.read(&mut read_chunk) {
                     Ok(0) => {
-                        active = true;
                         client.close();
                         break;
                     }
                     Ok(n) => {
-                        active = true;
                         client.inbuf.extend_from_slice(&read_chunk[..n]);
                     }
                     Err(e) if e.kind() == ErrorKind::WouldBlock => break,
@@ -380,7 +465,6 @@ fn run_daemon<S: Scheduler>(
             let target = base + start.elapsed().as_secs_f64() * opts.pace;
             events.clear();
             session.advance_to(SimTime::new(target), &mut events);
-            active |= !events.is_empty();
             for ev in &events {
                 let (task, n) = match ev {
                     SessionEvent::Placed { task, node, at } => (
@@ -440,13 +524,6 @@ fn run_daemon<S: Scheduler>(
                 write_checkpoint(dir, checkpoints_written, &mut session, meta)?;
                 last_checkpoint = Instant::now();
             }
-        }
-
-        if active {
-            idle_sleep = IDLE_SLEEP_MIN;
-        } else {
-            std::thread::sleep(idle_sleep);
-            idle_sleep = (idle_sleep * 2).min(IDLE_SLEEP_MAX);
         }
     }
 

@@ -1,7 +1,8 @@
-//! End-to-end test of the `arls serve` daemon: submissions over the
+//! End-to-end tests of the `arls serve` daemon: submissions over the
 //! socket are all answered, the ingest counter family on `/metrics`
-//! matches what was sent, and a SIGTERM checkpoint restarts bit-exactly
-//! via `--resume-from`.
+//! matches what was sent, Adaptive-RL's decision metrics move, a SIGTERM
+//! checkpoint restarts bit-exactly via `--resume-from`, and a daemon
+//! woken from idle acks promptly.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -196,6 +197,10 @@ fn serve_answers_streams_counts_and_resumes_bit_exactly() {
         metric_value(&metrics, "arls_events_total").unwrap_or(0.0) > 0.0,
         "platform family is served from the same registry"
     );
+    assert!(
+        metric_value(&metrics, "arls_decision_latency_seconds_count").unwrap_or(0.0) > 0.0,
+        "the served Adaptive-RL scheduler observes its decision latency: {metrics}"
+    );
 
     // SIGTERM → final checkpoint on the way out.
     sigterm(&daemon);
@@ -229,4 +234,66 @@ fn serve_answers_streams_counts_and_resumes_bit_exactly() {
     assert_eq!(payload, payload2, "resume must restore bit-exact state");
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An ack is written as soon as its submission is read, even after the
+/// daemon has sat idle: request/response round trips spaced by pauses
+/// must not wait for a parked loop to wake or for the client's next
+/// segment to carry a delayed TCP ACK. The 40 ms pause lands mid-way
+/// through the 32 ms step of a doubling sleep back-off (1, 2, 4, … ms),
+/// where a loop that parks that way acks in ~20 ms.
+#[test]
+fn serve_acks_promptly_after_idle() {
+    let dir = scratch_dir("ack");
+    let port_file = dir.join("ports.txt");
+    let mut daemon = spawn_serve(&[
+        "--listen",
+        "127.0.0.1:0",
+        "--port-file",
+        port_file.to_str().unwrap(),
+        "--seed",
+        "7",
+    ]);
+    let (ingest_addr, _) = wait_for_ports(&port_file, &mut daemon);
+    let stream = TcpStream::connect(&ingest_addr).expect("connect ingest");
+    stream.set_nodelay(true).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut writer = stream.try_clone().expect("clone stream");
+    let mut reader = BufReader::new(stream);
+
+    // Let the daemon go fully idle before the first request.
+    std::thread::sleep(Duration::from_millis(250));
+    let mut rtts: Vec<Duration> = Vec::new();
+    let mut line = String::new();
+    for i in 0..20u64 {
+        let req = format!(
+            "{{\"submit\":{{\"id\":{i},\"tasks\":[{{\"size_mi\":1500,\"deadline\":120,\
+             \"priority\":\"high\",\"site\":0}}]}}}}\n"
+        );
+        let sent = Instant::now();
+        writer.write_all(req.as_bytes()).expect("write submission");
+        let ack = format!("\"id\":{i},");
+        loop {
+            line.clear();
+            let n = reader.read_line(&mut line).expect("read notification");
+            assert!(n > 0, "daemon closed the stream early");
+            if line.contains("\"ack\"") && line.contains(&ack) {
+                break;
+            }
+        }
+        rtts.push(sent.elapsed());
+        std::thread::sleep(Duration::from_millis(40));
+    }
+    sigterm(&daemon);
+    let _ = wait_exit(daemon);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    rtts.sort();
+    let median = rtts[rtts.len() / 2];
+    assert!(
+        median < Duration::from_millis(5),
+        "median ack round trip {median:?} (all: {rtts:?})"
+    );
 }

@@ -66,6 +66,12 @@ impl Agent {
     /// stream, and the memory/ε branches consume exactly the draws they
     /// would in the combined formulation.
     ///
+    /// `own_ring` limits memory replay to one ring — the agent's own,
+    /// when shared access is ablated away; the caller names it because
+    /// only the caller knows the agent's global site (a shard's single
+    /// agent is local site 0). `None` replays the best experience of any
+    /// agent.
+    ///
     /// # Panics
     /// Panics if `candidates` is empty.
     pub fn decide(
@@ -74,16 +80,15 @@ impl Agent {
         epsilon: f64,
         have_value: bool,
         memory: &SharedLearningMemory,
-        shared: bool,
+        own_ring: Option<u32>,
         max_procs: usize,
     ) -> (Option<ActionChoice>, ChoiceSource) {
         assert!(!candidates.is_empty(), "need candidate actions");
         if self.consult_memory {
             self.consult_memory = false;
-            let best = if shared {
-                memory.best_shared()
-            } else {
-                memory.best_of(self.site.0)
+            let best = match own_ring {
+                None => memory.best_shared(),
+                Some(ring) => memory.best_of(ring),
             };
             if let Some(exp) = best {
                 let mut action = exp.action;
@@ -133,7 +138,7 @@ impl Agent {
             epsilon,
             value.is_some(),
             memory,
-            shared,
+            (!shared).then_some(self.site.0),
             max_procs,
         ) {
             (Some(action), src) => (action, src),

@@ -458,7 +458,7 @@ impl Scheduler for AdaptiveRl {
                 self.epsilon,
                 self.cfg.use_value_net,
                 &self.memory,
-                self.cfg.use_shared_memory,
+                (!self.cfg.use_shared_memory).then_some(self.site_offset + idx as u32),
                 obs.max_procs,
             );
             let (start, len) = if action.is_none() {
@@ -718,7 +718,13 @@ impl Scheduler for AdaptiveRl {
     }
 
     fn drain_sync(&mut self, out: &mut Vec<SyncRecord>) {
-        out.append(&mut self.sync_log);
+        // Every receiver files these records, in order, into this site's
+        // ring, which holds `memory_depth` entries under the config all
+        // sites share: older records of the batch would be evicted before
+        // anything reads the ring, so only the newest are sent.
+        let stale = self.sync_log.len().saturating_sub(self.cfg.memory_depth);
+        out.extend_from_slice(&self.sync_log[stale..]);
+        self.sync_log.clear();
     }
 
     fn apply_sync(&mut self, rec: &SyncRecord) {
@@ -1017,6 +1023,73 @@ mod tests {
         assert!(sched.epsilon() < eps0, "epsilon must decay with cycles");
         assert!(!sched.memory().is_empty(), "memory must fill");
         assert!(sched.memory().len() <= 2 * 15, "ring bound respected");
+    }
+
+    #[test]
+    fn unshared_replay_reads_the_shard_agents_own_ring() {
+        // Global site 2 of 3 with shared access ablated: a reward drop
+        // must replay ring 2's best experience, not the better one in
+        // global site 0's ring (a shard's single agent is local site 0).
+        use crate::action::PolicyKind;
+        let rng = RngStream::root(5);
+        let platform = Platform::generate(PlatformSpec::small(1, 3, 4), &rng.derive("p"));
+        let wl = Workload::generate(
+            WorkloadSpec::paper(6, 1, platform.reference_speed()),
+            &rng.derive("w"),
+        );
+        let cfg = AdaptiveRlConfig {
+            use_shared_memory: false,
+            ..AdaptiveRlConfig::default()
+        };
+        let mut s = AdaptiveRl::for_shard(2, 3, cfg);
+        let experience = |agent, policy, opnum, l_val| Experience {
+            agent,
+            action: ActionChoice { policy, opnum },
+            l_val,
+            cycle: 1,
+        };
+        s.memory.record(experience(0, PolicyKind::Mixed, 1, 100.0));
+        s.memory
+            .record(experience(2, PolicyKind::Identical, 3, 1.0));
+        s.agents[0].note_reward(0.9);
+        s.agents[0].note_reward(0.1);
+        let now = SimTime::new(0.0);
+        s.on_arrivals(now, SiteId(0), wl.tasks);
+        let cmds = s.dispatch(now, &PlatformView::new(&platform, now));
+        assert!(!cmds.is_empty());
+        let chosen = s.issued.back().expect("a dispatched sample").action;
+        assert_eq!(
+            chosen,
+            ActionChoice {
+                policy: PolicyKind::Identical,
+                opnum: 3
+            }
+        );
+    }
+
+    #[test]
+    fn drained_sync_suffix_fills_receivers_ring_like_the_whole_batch() {
+        // One epoch's batch longer than the ring: a receiver filing only
+        // the drained records must end with the same ring for the producer.
+        let cfg = AdaptiveRlConfig::default();
+        let batch: Vec<SyncRecord> = (0..40u64)
+            .map(|i| SyncRecord {
+                time: SimTime::new(i as f64),
+                seq: i + 1,
+                site: 1,
+                payload: [i % 2, 1 + i % 4, (i as f64).to_bits(), i],
+            })
+            .collect();
+        let mut producer = AdaptiveRl::for_shard(1, 2, cfg);
+        producer.sync_log = batch.clone();
+        let mut drained = Vec::new();
+        producer.drain_sync(&mut drained);
+        assert_eq!(drained.len(), cfg.memory_depth);
+        let mut whole = AdaptiveRl::for_shard(0, 2, cfg);
+        let mut suffix = AdaptiveRl::for_shard(0, 2, cfg);
+        batch.iter().for_each(|r| whole.apply_sync(r));
+        drained.iter().for_each(|r| suffix.apply_sync(r));
+        assert!(whole.memory.iter_of(1).eq(suffix.memory.iter_of(1)));
     }
 
     #[test]

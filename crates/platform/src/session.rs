@@ -163,6 +163,11 @@ impl<'s, S: Scheduler> ScheduleSession<'s, S> {
         self.engine.now()
     }
 
+    /// Firing time of the earliest pending event, if any.
+    pub fn next_event(&self) -> Option<SimTime> {
+        self.engine.queue().next_time()
+    }
+
     /// The furthest horizon integrated so far.
     pub fn horizon(&self) -> SimTime {
         self.horizon

@@ -119,7 +119,6 @@ fn decompose(platform: Platform, tasks: Vec<Task>, cfg: &ExecConfig) -> Vec<Site
     } else {
         FaultPlan::empty()
     };
-    let num_sites = platform.num_sites();
     let sub_spec = PlatformSpec {
         num_sites: 1,
         ..platform.spec.clone()
@@ -165,7 +164,6 @@ fn decompose(platform: Platform, tasks: Vec<Task>, cfg: &ExecConfig) -> Vec<Site
         }
         bundles[g].plan.events.push(local);
     }
-    let _ = num_sites;
     bundles
 }
 
@@ -530,11 +528,9 @@ fn run_worker<S: Scheduler + Send>(
         barrier.wait(); // A
         barrier.wait(); // B
         let c = ctl.lock().expect("ctl poisoned");
-        for rec in &c.merged {
-            for sim in &mut sims {
-                if rec.site != sim.global_site {
-                    sim.driver.sched.apply_sync(rec);
-                }
+        for sim in &mut sims {
+            for rec in c.merged.iter().filter(|r| r.site != sim.global_site) {
+                sim.driver.sched.apply_sync(rec);
             }
         }
         if let Some(h) = c.finish {
